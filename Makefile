@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci build vet lint test race matrix chaos precheck analyze daemon-smoke fuzz-smoke bench bench-parallel bench-symbolic bench-dataplane
+.PHONY: ci build vet lint test race matrix chaos precheck analyze daemon-smoke fuzz-smoke bench bench-parallel bench-symbolic bench-dataplane bench-fuzzer
 
 # ci is the gate every change must pass: build, vet, the determinism
 # lint, the full test suite under the race detector, the fault-detection
@@ -68,7 +68,7 @@ fuzz-smoke:
 
 # bench reruns the paper-evaluation benchmarks once each and records the
 # parallel-engine scaling run as machine-readable JSON.
-bench: bench-parallel bench-symbolic bench-dataplane
+bench: bench-parallel bench-symbolic bench-dataplane bench-fuzzer
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 # Each bench-* target records the raw `go test -json` stream and then
@@ -91,3 +91,11 @@ bench-symbolic:
 bench-dataplane:
 	$(GO) test -run '^$$' -bench 'BenchmarkCompiledVsInterp' -benchtime 1x -json . > BENCH_dataplane.json
 	$(GO) run ./tools/benchsummary BENCH_dataplane.json
+
+# bench-fuzzer records p4-fuzzer throughput (the Table 3 "Entries/s"
+# rows) and the oracle's per-batch cost at ~200 and ~1700 installed
+# entries (an ns/entry that does not grow with the state shows the batch
+# loop is linear in it), as machine-readable JSON.
+bench-fuzzer:
+	$(GO) test -run '^$$' -bench 'BenchmarkTable3Fuzzer|BenchmarkOracleCheckBatch' -benchtime 1x -json . > BENCH_fuzzer.json
+	$(GO) run ./tools/benchsummary BENCH_fuzzer.json

@@ -399,8 +399,104 @@ func BenchmarkTable3Fuzzer(b *testing.B) {
 				}
 				b.ReportMetric(rep.EntriesPerSecond(), "entries/s")
 				b.ReportMetric(float64(rep.Updates), "entries")
+				b.ReportMetric(float64(runtime.NumCPU()), "cpus")
 				sw.Close()
 			}
+		})
+	}
+}
+
+// fuzzerBatch is one recorded p4-fuzzer batch: the oracle state before
+// it, the request, the switch's statuses and its full read-back.
+type fuzzerBatch struct {
+	pre  *pdpi.Store
+	req  p4rt.WriteRequest
+	resp p4rt.WriteResponse
+	read p4rt.ReadResponse
+}
+
+// recordFuzzerBatches runs a fault-free middleblock p4-fuzzer campaign
+// (seed 42, 50 updates per batch) and records the first n batches that
+// start from at least size installed entries.
+func recordFuzzerBatches(b *testing.B, info *p4info.Info, size, n int) []fuzzerBatch {
+	b.Helper()
+	sw := switchsim.New("middleblock")
+	defer sw.Close()
+	if err := switchv.New(info, sw, sw).PushPipeline(); err != nil {
+		b.Fatal(err)
+	}
+	f := fuzzer.New(info, fuzzer.Options{Seed: 42, UpdatesPerRequest: 50})
+	orc := oracle.New(info)
+	var out []fuzzerBatch
+	for len(out) < n {
+		req, _, err := f.NextBatch()
+		if err != nil {
+			b.Fatal(err)
+		}
+		pre := orc.State().Clone()
+		resp := sw.Write(req)
+		read, err := sw.Read(p4rt.ReadRequest{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, violations := orc.CheckBatch(req, resp, read); len(violations) > 0 {
+			b.Fatalf("violations on a clean switch: %v", violations)
+		}
+		for i, st := range resp.Statuses {
+			if st.Code == p4rt.OK {
+				f.NoteAccepted(req.Updates[i])
+			}
+		}
+		if pre.Len() >= size {
+			out = append(out, fuzzerBatch{pre: pre, req: req, resp: resp, read: read})
+		}
+	}
+	return out
+}
+
+// BenchmarkOracleCheckBatch times the oracle's per-batch judgement of
+// p4-fuzzer batches (classify and replay every update, check the full
+// read-back, adopt it) at two installed-state sizes: ~200 entries, and
+// ~1700, the state a 200-batch campaign reaches. With a per-batch cost
+// linear in the state, us/batch grows no faster than read-back-entries
+// and ns/entry does not grow.
+func BenchmarkOracleCheckBatch(b *testing.B) {
+	const batches = 10
+	info := p4info.New(models.MustLoad("middleblock"))
+	for _, size := range []int{200, 1700} {
+		b.Run(fmt.Sprintf("entries=%d", size), func(b *testing.B) {
+			rec := recordFuzzerBatches(b, info, size, batches)
+			readEntries := 0
+			for _, r := range rec {
+				readEntries += len(r.read.Entries)
+			}
+			b.ResetTimer()
+			var elapsed time.Duration
+			for i := 0; i < b.N; i++ {
+				// Each batch is judged from its own recorded pre-state,
+				// restored outside the timed region.
+				for _, r := range rec {
+					b.StopTimer()
+					orc := oracle.New(info)
+					for _, e := range r.pre.All(info.Program()) {
+						if err := orc.State().Insert(e); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.StartTimer()
+					start := time.Now()
+					_, violations := orc.CheckBatch(r.req, r.resp, r.read)
+					elapsed += time.Since(start)
+					if len(violations) > 0 {
+						b.Fatalf("violations on a recorded clean batch: %v", violations)
+					}
+				}
+			}
+			perBatch := float64(elapsed.Nanoseconds()) / float64(b.N*batches)
+			b.ReportMetric(perBatch/1e3, "us/batch")
+			b.ReportMetric(perBatch*batches/float64(readEntries), "ns/entry")
+			b.ReportMetric(float64(readEntries)/batches, "read-back-entries")
+			b.ReportMetric(float64(runtime.NumCPU()), "cpus")
 		})
 	}
 }

@@ -375,12 +375,26 @@ func (f *Fuzzer) pickTable() *ir.Table {
 	return ready[f.rng.Intn(len(ready))]
 }
 
+// randomInstalled picks installed.All(prog)[rng.Intn(total)] without
+// building the list: it walks the per-table cached entry slices.
 func (f *Fuzzer) randomInstalled() *pdpi.Entry {
-	all := f.installed.All(f.info.Program())
-	if len(all) == 0 {
+	tables := f.info.Program().Tables
+	total := 0
+	for _, t := range tables {
+		total += f.installed.TableLen(t.Name)
+	}
+	if total == 0 {
 		return nil
 	}
-	return all[f.rng.Intn(len(all))]
+	i := f.rng.Intn(total)
+	for _, t := range tables {
+		es := f.installed.Entries(t.Name)
+		if i < len(es) {
+			return es[i]
+		}
+		i -= len(es)
+	}
+	return nil
 }
 
 // NoteAccepted records that the switch accepted an update, keeping the

@@ -238,9 +238,10 @@ func buildRefIndex(info *p4info.Info, state *pdpi.Store) refIndex {
 // reference: some entry references one of e's key values and no sibling of
 // e carries that value.
 func (idx refIndex) breaksReferents(state *pdpi.Store, e *pdpi.Entry) bool {
+	self, _ := state.Get(e)
 	stillCovered := func(field string, v value.V) bool {
 		for _, sibling := range state.Entries(e.Table.Name) {
-			if sibling.Key() == e.Key() {
+			if sibling == self {
 				continue
 			}
 			if m, ok := sibling.Match(field); ok && m.Value.Equal(v) {
@@ -395,12 +396,14 @@ func (o *Oracle) CheckBatch(req p4rt.WriteRequest, resp p4rt.WriteResponse, obse
 	}
 
 	// Compare the read-back with the expected state.
-	violations = append(violations, o.checkReadback(expected, observed)...)
+	readback, adopted := o.checkReadback(expected, observed)
+	violations = append(violations, readback...)
 
 	// Adopt the observed state as the new baseline (§4.3: "forget the
 	// prior state"), regardless of violations, so one bad batch does not
-	// cascade into noise.
-	if adopted, ok := o.adoptObserved(observed); ok {
+	// cascade into noise. A read-back that cannot be adopted leaves the
+	// expected state in its place.
+	if adopted != nil {
 		o.state = adopted
 	} else {
 		o.state = expected
@@ -410,10 +413,14 @@ func (o *Oracle) CheckBatch(req p4rt.WriteRequest, resp p4rt.WriteResponse, obse
 
 // checkReadback verifies the observed entries decode cleanly (canonical
 // bytestrings, §4's format rules apply to reads too) and match the
-// expected state exactly.
-func (o *Oracle) checkReadback(expected *pdpi.Store, observed p4rt.ReadResponse) []Violation {
+// expected state exactly. Each entry is decoded and keyed once; the same
+// pass builds the observed state, which is returned for adoption unless
+// the read-back holds a malformed or duplicated entry (nil then).
+func (o *Oracle) checkReadback(expected *pdpi.Store, observed p4rt.ReadResponse) ([]Violation, *pdpi.Store) {
 	var violations []Violation
-	seen := map[string]bool{}
+	seen := pdpi.NewStore()
+	adoptable := true
+	found := 0 // distinct expected entries the read-back holds
 	for i := range observed.Entries {
 		e, err := p4rt.FromWire(o.info, &observed.Entries[i])
 		if err != nil {
@@ -422,19 +429,20 @@ func (o *Oracle) checkReadback(expected *pdpi.Store, observed p4rt.ReadResponse)
 				Kind:        "readback-format",
 				Message:     fmt.Sprintf("read-back entry %d is malformed: %v", i, err),
 			})
+			adoptable = false
 			continue
 		}
 		key := e.Key()
-		if seen[key] {
+		if seen.InsertKey(key, e) != nil {
 			violations = append(violations, Violation{
 				UpdateIndex: -1,
 				Kind:        "readback-duplicate",
 				Message:     "read returned the same entry twice: " + key,
 			})
+			adoptable = false
 			continue
 		}
-		seen[key] = true
-		want, ok := expected.Get(e)
+		want, ok := expected.GetKey(e.Table.Name, key)
 		if !ok {
 			violations = append(violations, Violation{
 				UpdateIndex: -1,
@@ -443,7 +451,8 @@ func (o *Oracle) checkReadback(expected *pdpi.Store, observed p4rt.ReadResponse)
 			})
 			continue
 		}
-		if want.String() != e.String() {
+		found++
+		if !want.Equal(e) {
 			violations = append(violations, Violation{
 				UpdateIndex: -1,
 				Kind:        "readback-mismatch",
@@ -451,32 +460,21 @@ func (o *Oracle) checkReadback(expected *pdpi.Store, observed p4rt.ReadResponse)
 			})
 		}
 	}
-	for _, want := range expected.All(o.info.Program()) {
-		if !seen[want.Key()] {
-			violations = append(violations, Violation{
-				UpdateIndex: -1,
-				Kind:        "readback-missing",
-				Message:     "switch lost entry: " + want.Key(),
-			})
+	if found < expected.Len() {
+		for _, want := range expected.All(o.info.Program()) {
+			if _, ok := seen.Get(want); !ok {
+				violations = append(violations, Violation{
+					UpdateIndex: -1,
+					Kind:        "readback-missing",
+					Message:     "switch lost entry: " + want.Key(),
+				})
+			}
 		}
 	}
-	return violations
-}
-
-// adoptObserved converts a read-back into a store; it fails if entries are
-// malformed (the caller falls back to the expected state).
-func (o *Oracle) adoptObserved(observed p4rt.ReadResponse) (*pdpi.Store, bool) {
-	s := pdpi.NewStore()
-	for i := range observed.Entries {
-		e, err := p4rt.FromWire(o.info, &observed.Entries[i])
-		if err != nil {
-			return nil, false
-		}
-		if err := s.Insert(e); err != nil {
-			return nil, false
-		}
+	if !adoptable {
+		return violations, nil
 	}
-	return s, true
+	return violations, seen
 }
 
 // isStateDependent reports whether a must-reject reason depends on the

@@ -263,6 +263,67 @@ func (e *Entry) String() string {
 	return b.String()
 }
 
+// Equal reports whether two entries program the same thing: the same
+// table and priority, the same matches in the same order (value with its
+// width, and the prefix length or mask where the match kind has one), and
+// the same action with the same arguments, or the same action-set members
+// with the same weights and arguments. It compares what String renders
+// plus the member arguments String leaves out, and allocates nothing.
+func (e *Entry) Equal(o *Entry) bool {
+	if e.Table.Name != o.Table.Name || e.Priority != o.Priority || len(e.Matches) != len(o.Matches) {
+		return false
+	}
+	for i := range e.Matches {
+		a, b := &e.Matches[i], &o.Matches[i]
+		if a.Value != b.Value || renderedKind(a.Kind) != renderedKind(b.Kind) {
+			return false
+		}
+		switch renderedKind(a.Kind) {
+		case ir.MatchLPM:
+			if a.PrefixLen != b.PrefixLen {
+				return false
+			}
+		case ir.MatchTernary:
+			if a.Mask != b.Mask {
+				return false
+			}
+		}
+	}
+	if e.Action != nil || o.Action != nil {
+		return e.Action != nil && o.Action != nil && e.Action.equal(o.Action)
+	}
+	if len(e.ActionSet) != len(o.ActionSet) {
+		return false
+	}
+	for i := range e.ActionSet {
+		if e.ActionSet[i].Weight != o.ActionSet[i].Weight || !e.ActionSet[i].equal(&o.ActionSet[i].ActionInvocation) {
+			return false
+		}
+	}
+	return true
+}
+
+// renderedKind folds the match kinds String renders alike (exact and
+// optional print the bare value) into one.
+func renderedKind(k ir.MatchKind) ir.MatchKind {
+	if k == ir.MatchLPM || k == ir.MatchTernary {
+		return k
+	}
+	return ir.MatchExact
+}
+
+func (inv *ActionInvocation) equal(o *ActionInvocation) bool {
+	if inv.Action.Name != o.Action.Name || len(inv.Args) != len(o.Args) {
+		return false
+	}
+	for i := range inv.Args {
+		if inv.Args[i] != o.Args[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // Clone returns a deep copy of the entry.
 func (e *Entry) Clone() *Entry {
 	out := &Entry{Table: e.Table, Priority: e.Priority}

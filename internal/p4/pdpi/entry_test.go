@@ -198,3 +198,75 @@ func TestClone(t *testing.T) {
 		t.Error("Clone aliases the action set")
 	}
 }
+
+// TestEqual: Equal agrees with String equality on every field String
+// renders, and also tells action-set members apart by their arguments.
+func TestEqual(t *testing.T) {
+	p := models.Middleblock()
+	wcmpTbl, _ := p.TableByName("wcmp_group_table")
+	setNexthopID, _ := p.ActionByName("set_nexthop_id")
+	aclDrop, _ := p.ActionByName("acl_drop")
+	aclT, _ := p.TableByName("acl_ingress_table")
+	drop, _ := p.ActionByName("drop")
+	group := &Entry{
+		Table:   wcmpTbl,
+		Matches: []Match{{Key: "wcmp_group_id", Kind: ir.MatchExact, Value: value.New(1, 10)}},
+		ActionSet: []WeightedAction{
+			{ActionInvocation: ActionInvocation{Action: setNexthopID, Args: []value.V{value.New(1, 10)}}, Weight: 2},
+			{ActionInvocation: ActionInvocation{Action: setNexthopID, Args: []value.V{value.New(2, 10)}}, Weight: 1},
+		},
+	}
+	acl := &Entry{
+		Table: aclT,
+		Matches: []Match{{Key: "dst_ip", Kind: ir.MatchTernary,
+			Value: value.New(0x0a000000, 32), Mask: value.New(0xff000000, 32)}},
+		Priority: 10,
+		Action:   &ActionInvocation{Action: aclDrop},
+	}
+	cases := []struct {
+		name   string
+		base   *Entry
+		mutate func(*Entry)
+	}{
+		{"identical", ipv4Entry(t, 1, 0x0a000000, 8), func(*Entry) {}},
+		{"identical group", group, func(*Entry) {}},
+		{"exact value", ipv4Entry(t, 1, 0x0a000000, 8), func(e *Entry) { e.Matches[0].Value = value.New(2, 10) }},
+		{"value width", ipv4Entry(t, 1, 0x0a000000, 8), func(e *Entry) { e.Matches[0].Value = value.New(1, 12) }},
+		{"prefix length", ipv4Entry(t, 1, 0x0a000000, 8), func(e *Entry) { e.Matches[1].PrefixLen = 16 }},
+		{"match order", ipv4Entry(t, 1, 0x0a000000, 8), func(e *Entry) { e.Matches[0], e.Matches[1] = e.Matches[1], e.Matches[0] }},
+		{"match count", ipv4Entry(t, 1, 0x0a000000, 8), func(e *Entry) { e.Matches = e.Matches[:1] }},
+		{"action arg", ipv4Entry(t, 1, 0x0a000000, 8), func(e *Entry) { e.Action.Args[0] = value.New(3, 10) }},
+		{"action", ipv4Entry(t, 1, 0x0a000000, 8), func(e *Entry) { e.Action = &ActionInvocation{Action: drop} }},
+		{"action to set", ipv4Entry(t, 1, 0x0a000000, 8), func(e *Entry) {
+			e.ActionSet = []WeightedAction{{ActionInvocation: *e.Action, Weight: 1}}
+			e.Action = nil
+		}},
+		{"mask", acl, func(e *Entry) { e.Matches[0].Mask = value.New(0xffff0000, 32) }},
+		{"priority", acl, func(e *Entry) { e.Priority = 11 }},
+		{"table", group, func(e *Entry) { e.Table = aclT }},
+		{"member weight", group, func(e *Entry) { e.ActionSet[1].Weight = 3 }},
+		{"member count", group, func(e *Entry) { e.ActionSet = e.ActionSet[:1] }},
+		{"member action", group, func(e *Entry) { e.ActionSet[1].Action = drop }},
+	}
+	for _, c := range cases {
+		other := c.base.Clone()
+		c.mutate(other)
+		want := c.base.String() == other.String()
+		if got := c.base.Equal(other); got != want {
+			t.Errorf("%s: Equal = %v, String equality = %v", c.name, got, want)
+		}
+		if got := other.Equal(c.base); got != want {
+			t.Errorf("%s (swapped): Equal = %v, String equality = %v", c.name, got, want)
+		}
+	}
+
+	// String leaves member arguments out; Equal does not.
+	other := group.Clone()
+	other.ActionSet[1].Args[0] = value.New(3, 10)
+	if group.String() != other.String() {
+		t.Fatal("String now renders member arguments; this case no longer tests anything")
+	}
+	if group.Equal(other) {
+		t.Error("Equal ignores action-set member arguments")
+	}
+}

@@ -2,6 +2,8 @@ package pdpi
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,9 +20,8 @@ import (
 // mutations must not race with reads, as everywhere else.
 type Store struct {
 	mu     sync.Mutex
-	tables map[string]map[string]*Entry
+	tables map[string]map[string]slot
 	order  int
-	seq    map[string]int // insertion order per entry key, for stable wins
 
 	// ordered caches Entries() results per table; mutations invalidate it.
 	ordered map[string][]*Entry
@@ -32,11 +33,17 @@ type Store struct {
 	versions map[string]uint64
 }
 
+// slot is one installed entry with its insertion sequence number, which
+// orders the table (stable first-match wins) and survives a Modify.
+type slot struct {
+	e   *Entry
+	seq int
+}
+
 // NewStore returns an empty store.
 func NewStore() *Store {
 	return &Store{
-		tables:   map[string]map[string]*Entry{},
-		seq:      map[string]int{},
+		tables:   map[string]map[string]slot{},
 		ordered:  map[string][]*Entry{},
 		versions: map[string]uint64{},
 	}
@@ -82,37 +89,40 @@ func (s *Store) TableLen(table string) int {
 
 // Insert adds an entry; it fails if an entry with the same match already
 // exists.
-func (s *Store) Insert(e *Entry) error {
+func (s *Store) Insert(e *Entry) error { return s.InsertKey(e.Key(), e) }
+
+// InsertKey is Insert for a caller that already holds e's match key; key
+// must equal e.Key().
+func (s *Store) InsertKey(key string, e *Entry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	key := e.Key()
 	t := s.tables[e.Table.Name]
 	if t == nil {
-		t = map[string]*Entry{}
+		t = map[string]slot{}
 		s.tables[e.Table.Name] = t
 	}
 	if _, dup := t[key]; dup {
 		return fmt.Errorf("pdpi: entry already exists: %s", key)
 	}
-	t[key] = e
 	s.order++
-	s.seq[key] = s.order
+	t[key] = slot{e: e, seq: s.order}
 	delete(s.ordered, e.Table.Name)
 	s.bumpLocked(e.Table.Name)
 	return nil
 }
 
 // Modify replaces the action of an existing entry; it fails if the entry
-// does not exist.
+// does not exist. The entry keeps its insertion position.
 func (s *Store) Modify(e *Entry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	key := e.Key()
 	t := s.tables[e.Table.Name]
-	if _, ok := t[key]; !ok {
+	old, ok := t[key]
+	if !ok {
 		return fmt.Errorf("pdpi: entry does not exist: %s", key)
 	}
-	t[key] = e
+	t[key] = slot{e: e, seq: old.seq}
 	delete(s.ordered, e.Table.Name)
 	s.bumpLocked(e.Table.Name)
 	return nil
@@ -128,18 +138,21 @@ func (s *Store) Delete(e *Entry) error {
 		return fmt.Errorf("pdpi: entry does not exist: %s", key)
 	}
 	delete(t, key)
-	delete(s.seq, key)
 	delete(s.ordered, e.Table.Name)
 	s.bumpLocked(e.Table.Name)
 	return nil
 }
 
 // Get returns the entry with the same match as e, if installed.
-func (s *Store) Get(e *Entry) (*Entry, bool) {
+func (s *Store) Get(e *Entry) (*Entry, bool) { return s.GetKey(e.Table.Name, e.Key()) }
+
+// GetKey returns the entry of a table installed under a match key (as
+// built by Entry.Key), if any.
+func (s *Store) GetKey(table, key string) (*Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	got, ok := s.tables[e.Table.Name][e.Key()]
-	return got, ok
+	got, ok := s.tables[table][key]
+	return got.e, ok
 }
 
 // Entries returns the entries of a table in deterministic (insertion)
@@ -151,16 +164,23 @@ func (s *Store) Entries(table string) []*Entry {
 	return s.entriesLocked(table)
 }
 
+// entriesLocked ranks a table by the sequence numbers stored beside its
+// entries. Building Entry.Key() here (say, inside the comparator) would
+// cost two allocating rebuilds per comparison on every read-back.
 func (s *Store) entriesLocked(table string) []*Entry {
 	if out, ok := s.ordered[table]; ok {
 		return out
 	}
 	t := s.tables[table]
-	out := make([]*Entry, 0, len(t))
-	for _, e := range t {
-		out = append(out, e)
+	slots := make([]slot, 0, len(t))
+	for _, sl := range t {
+		slots = append(slots, sl)
 	}
-	sort.Slice(out, func(i, j int) bool { return s.seq[out[i].Key()] < s.seq[out[j].Key()] })
+	slices.SortFunc(slots, func(a, b slot) int { return a.seq - b.seq })
+	out := make([]*Entry, len(slots))
+	for i, sl := range slots {
+		out[i] = sl.e
+	}
 	s.ordered[table] = out
 	return out
 }
@@ -198,12 +218,7 @@ func (s *Store) Clone() *Store {
 	out := NewStore()
 	out.order = s.order
 	for table, entries := range s.tables {
-		nt := make(map[string]*Entry, len(entries))
-		for k, e := range entries {
-			nt[k] = e
-			out.seq[k] = s.seq[k]
-		}
-		out.tables[table] = nt
+		out.tables[table] = maps.Clone(entries)
 		out.versions[table] = s.versions[table]
 	}
 	out.gen.Store(s.gen.Load())
@@ -219,8 +234,7 @@ func (s *Store) Clear() {
 	for table := range s.tables {
 		s.bumpLocked(table)
 	}
-	s.tables = map[string]map[string]*Entry{}
-	s.seq = map[string]int{}
+	s.tables = map[string]map[string]slot{}
 	s.ordered = map[string][]*Entry{}
 	s.order = 0
 }
@@ -230,5 +244,5 @@ func (s *Store) Clear() {
 func (s *Store) Seq(e *Entry) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.seq[e.Key()]
+	return s.tables[e.Table.Name][e.Key()].seq
 }

@@ -353,8 +353,10 @@ func (s *Switch) Read(req p4rt.ReadRequest) (p4rt.ReadResponse, error) {
 			continue
 		}
 		te := p4rt.ToWire(e)
-		if raw, ok := s.rawValues[e.Key()]; ok && s.hasFault(FaultZeroBytesAccepted) {
-			te = raw // echo back the non-canonical bytes as stored
+		if s.hasFault(FaultZeroBytesAccepted) {
+			if raw, ok := s.rawValues[e.Key()]; ok {
+				te = raw // echo back the non-canonical bytes as stored
+			}
 		}
 		if s.hasFault(FaultReadDropsTernary) {
 			var kept []p4rt.FieldMatch
