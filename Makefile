@@ -1,12 +1,17 @@
 GO ?= go
 
-.PHONY: ci build vet lint test race matrix chaos precheck analyze daemon-smoke fuzz-smoke bench bench-parallel bench-symbolic bench-dataplane bench-fuzzer
+.PHONY: ci fmt build vet lint test race matrix chaos precheck analyze daemon-smoke fuzz-smoke bench bench-parallel bench-symbolic bench-dataplane bench-fuzzer
 
-# ci is the gate every change must pass: build, vet, the determinism
-# lint, the full test suite under the race detector, the fault-detection
-# matrix, the chaos survival matrix, the static model preflight, the
-# zero-findings analyzer gate, and the daemon smoke test.
-ci: build vet lint race matrix chaos precheck analyze daemon-smoke fuzz-smoke
+# ci is the gate every change must pass: gofmt-clean sources, build,
+# vet, the determinism lint, the full test suite under the race
+# detector, the fault-detection matrix, the chaos survival matrix, the
+# static model preflight, the zero-findings analyzer gate, and the
+# daemon smoke test.
+ci: fmt build vet lint race matrix chaos precheck analyze daemon-smoke fuzz-smoke
+
+# fmt fails when any Go file in the tree is not gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...

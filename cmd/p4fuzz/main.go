@@ -36,7 +36,7 @@ func main() {
 	precheck := flag.String("precheck", "on", "static model preflight: on (refuse on error findings), warn (report only), off (skip)")
 	flag.Parse()
 
-	pm, err := precheckMode(*precheck)
+	pm, err := switchv.ParsePrecheck(*precheck)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -144,19 +144,6 @@ func main() {
 	if len(incidents) > 0 {
 		os.Exit(1)
 	}
-}
-
-// precheckMode parses the -precheck flag shared by the SwitchV CLIs.
-func precheckMode(s string) (switchv.PrecheckMode, error) {
-	switch s {
-	case "on", "":
-		return switchv.PrecheckOn, nil
-	case "warn":
-		return switchv.PrecheckWarn, nil
-	case "off":
-		return switchv.PrecheckOff, nil
-	}
-	return 0, fmt.Errorf("invalid -precheck %q (want on, warn, or off)", s)
 }
 
 // stackFactory builds per-shard switch stacks: in-process simulators, or

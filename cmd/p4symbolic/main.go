@@ -32,8 +32,6 @@ func main() {
 	dpShards := flag.Int("dp-shards", 0, "goal-shard count for -dp-workers (0 = default; results depend on it)")
 	precheck := flag.String("precheck", "on", "static model preflight: on (refuse on error findings), warn (report only), off (skip)")
 	engine := flag.String("engine", "compiled", "reference simulator engine for replaying generated packets: compiled (closure-tree) or interp (IR walker)")
-	witness := flag.Bool("witness", true, "solver-free witness synthesis pre-pass (parallel generator only)")
-	slice := flag.Bool("slice", true, "cone-of-influence slice restriction on per-goal checks (parallel generator only)")
 	jsonOut := flag.Bool("json", false, "emit one machine-readable JSON report instead of text")
 	flag.Parse()
 
@@ -47,21 +45,20 @@ func main() {
 		log.Fatal(err)
 	}
 
-	switch *precheck {
-	case "on", "", "warn", "off":
-	default:
-		log.Fatalf("invalid -precheck %q (want on, warn, or off)", *precheck)
+	pm, err := switchv.ParsePrecheck(*precheck)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// Static preflight: refuse defective models before the first solver
 	// call, and feed the unreachable-table proof set into goal pruning.
 	var dead map[string]bool
-	if *precheck != "off" {
+	if pm != switchv.PrecheckOff {
 		crep := check.Cached(prog)
 		if len(crep.Findings) > 0 && !*jsonOut {
 			fmt.Printf("== p4check preflight ==\n%s", crep.Text())
 		}
-		if crep.HasErrors() && *precheck != "warn" {
+		if crep.HasErrors() && pm == switchv.PrecheckOn {
 			fmt.Fprintf(os.Stderr, "p4symbolic: model failed preflight with %d error finding(s); fix the model or pass -precheck=warn\n", crep.Errors())
 			os.Exit(1)
 		}
@@ -87,7 +84,7 @@ func main() {
 		t0 := time.Now()
 		packets, rep, err = symbolic.GeneratePacketsParallel(prog, store, symbolic.Options{},
 			symbolic.GenOptions{Mode: mode, Workers: *dpWorkers, Shards: *dpShards,
-				UnreachableTables: dead, DisableWitness: !*witness, DisableSlicing: !*slice})
+				UnreachableTables: dead})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -56,7 +56,7 @@ func main() {
 	chaosSeed := flag.Int64("chaos-seed", 0, "seed for periodic chaos rules (0 = -seed)")
 	flag.Parse()
 
-	pm, err := precheckMode(*precheck)
+	pm, err := switchv.ParsePrecheck(*precheck)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -392,19 +392,6 @@ func stackFactory(connect, role, faultList string, shards int) (switchv.StackFac
 		}
 		return cli, func() { cli.Close() }, nil
 	}, nil
-}
-
-// precheckMode parses the -precheck flag shared by the SwitchV CLIs.
-func precheckMode(s string) (switchv.PrecheckMode, error) {
-	switch s {
-	case "on", "":
-		return switchv.PrecheckOn, nil
-	case "warn":
-		return switchv.PrecheckWarn, nil
-	case "off":
-		return switchv.PrecheckOff, nil
-	}
-	return 0, fmt.Errorf("invalid -precheck %q (want on, warn, or off)", s)
 }
 
 func printIncidents(incidents []switchv.Incident) {

@@ -76,7 +76,7 @@ func main() {
 	rpcTimeout := flag.Duration("rpc-timeout", 0, "per-RPC deadline on every target connection (0 = client default 30s, or 2s when -chaos is set: each dropped response costs one deadline before the retry fires)")
 	flag.Parse()
 
-	pm, err := precheckMode(*precheck)
+	pm, err := switchv.ParsePrecheck(*precheck)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -175,17 +175,4 @@ func main() {
 		log.Fatalf("switchvd: %v", err)
 	}
 	log.Printf("switchvd: %d fleet round(s) completed in %v", d.Rounds(), time.Since(start).Round(time.Millisecond))
-}
-
-// precheckMode parses the -precheck flag shared by the SwitchV CLIs.
-func precheckMode(s string) (switchv.PrecheckMode, error) {
-	switch s {
-	case "on", "":
-		return switchv.PrecheckOn, nil
-	case "warn":
-		return switchv.PrecheckWarn, nil
-	case "off":
-		return switchv.PrecheckOff, nil
-	}
-	return 0, fmt.Errorf("invalid -precheck %q (want on, warn, or off)", s)
 }

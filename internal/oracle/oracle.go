@@ -103,11 +103,12 @@ func (o *Oracle) State() *pdpi.Store { return o.state }
 // @refers_to referential integrity, applicability, and resource
 // guarantees.
 func (o *Oracle) Classify(state *pdpi.Store, u *p4rt.Update) (Verdict, string) {
-	return o.classify(state, buildRefIndex(o.info, state), u)
+	e, err := p4rt.FromWire(o.info, &u.Entry)
+	return o.classify(state, buildRefIndex(o.info, state), u.Type, e, err)
 }
 
-func (o *Oracle) classify(state *pdpi.Store, idx refIndex, u *p4rt.Update) (Verdict, string) {
-	e, err := p4rt.FromWire(o.info, &u.Entry)
+// classify is Classify over an update already decoded into (e, err).
+func (o *Oracle) classify(state *pdpi.Store, idx refIndex, typ p4rt.UpdateType, e *pdpi.Entry, err error) (Verdict, string) {
 	if err != nil {
 		return MustReject, fmt.Sprintf("syntactically invalid: %v", err)
 	}
@@ -118,12 +119,12 @@ func (o *Oracle) classify(state *pdpi.Store, idx refIndex, u *p4rt.Update) (Verd
 	if !ok {
 		return MustReject, fmt.Sprintf("violates @entry_restriction of %s", e.Table.Name)
 	}
-	if u.Type != p4rt.Delete {
+	if typ != p4rt.Delete {
 		if msg, bad := o.danglingReference(state, e); bad {
 			return MustReject, msg
 		}
 	}
-	switch u.Type {
+	switch typ {
 	case p4rt.Insert:
 		if _, exists := state.Get(e); exists {
 			return MustReject, "entry already exists"
@@ -149,7 +150,7 @@ func (o *Oracle) classify(state *pdpi.Store, idx refIndex, u *p4rt.Update) (Verd
 		}
 		return MustAccept, ""
 	default:
-		return MustReject, fmt.Sprintf("unknown update type %d", u.Type)
+		return MustReject, fmt.Sprintf("unknown update type %d", typ)
 	}
 }
 
@@ -284,64 +285,61 @@ func (o *Oracle) CheckBatch(req p4rt.WriteRequest, resp p4rt.WriteResponse, obse
 	// dependency-free (the fuzzer guarantees it), but two updates in one
 	// batch may still target the same entry key; since the switch may
 	// execute a batch in any order (§4 Example 2), verdicts for colliding
-	// keys are downgraded to may-reject.
+	// keys are downgraded to may-reject. Each update is decoded once;
+	// a nil entry marks an undecodable one.
+	entries := make([]*pdpi.Entry, len(req.Updates))
+	keys := make([]string, len(req.Updates))
+	decodeErrs := make([]error, len(req.Updates))
 	keyCount := map[string]int{}
 	insertsPerTable := map[string]int{}
 	for i := range req.Updates {
-		if e, err := p4rt.FromWire(o.info, &req.Updates[i].Entry); err == nil {
-			keyCount[e.Key()]++
+		e, err := p4rt.FromWire(o.info, &req.Updates[i].Entry)
+		decodeErrs[i] = err
+		if err == nil {
+			entries[i], keys[i] = e, e.Key()
+			keyCount[keys[i]]++
 			if req.Updates[i].Type == p4rt.Insert {
 				insertsPerTable[e.Table.Name]++
 			}
 		}
 	}
-	collides := func(u *p4rt.Update) bool {
-		e, err := p4rt.FromWire(o.info, &u.Entry)
-		return err == nil && keyCount[e.Key()] > 1
-	}
 
 	expected := o.state.Clone()
 	idx := buildRefIndex(o.info, o.state)
 	for i := range req.Updates {
-		u := &req.Updates[i]
-		verdict, why := o.classify(o.state, idx, u)
+		u, e := &req.Updates[i], entries[i]
+		verdict, why := o.classify(o.state, idx, u.Type, e, decodeErrs[i])
 		if verdict != MustReject || isStateDependent(why) {
 			// Syntactic/constraint invalidity is order-independent; only
 			// state-dependent verdicts are affected by batch collisions.
-			if collides(u) {
+			if e != nil && keyCount[keys[i]] > 1 {
 				verdict = MayReject
 			}
 		}
 		// Several inserts into a near-full table may exceed capacity
 		// depending on execution order; only guarantee acceptance when the
 		// whole batch fits.
-		if verdict == MustAccept && u.Type == p4rt.Insert {
-			if e, err := p4rt.FromWire(o.info, &u.Entry); err == nil {
-				if o.state.TableLen(e.Table.Name)+insertsPerTable[e.Table.Name] > e.Table.Size {
-					verdict = MayReject
-				}
+		if verdict == MustAccept && u.Type == p4rt.Insert && e != nil {
+			if o.state.TableLen(e.Table.Name)+insertsPerTable[e.Table.Name] > e.Table.Size {
+				verdict = MayReject
 			}
 		}
 		verdicts[i] = verdict
 		accepted := resp.Statuses[i].Code == p4rt.OK
+		table := "?" // undecodable updates have no table
+		if e != nil {
+			table = e.Table.Name
+		}
 		if o.AllowUnavailable && resp.Statuses[i].Code == p4rt.Unavailable {
 			// Outcome unknown / not applied (per reconciliation): record
 			// the verdict and coverage, but judge nothing and replay
 			// nothing for this update.
 			if o.cov != nil {
-				table := "?"
-				if e, err := p4rt.FromWire(o.info, &u.Entry); err == nil {
-					table = e.Table.Name
-				}
 				o.cov.NoteVerdictOutcome(table, verdict.String(), false)
 			}
 			continue
 		}
 		if o.cov != nil {
-			table := "?" // undecodable updates have no table
-			if e, err := p4rt.FromWire(o.info, &u.Entry); err == nil {
-				table = e.Table.Name
-			}
 			o.cov.NoteVerdictOutcome(table, verdict.String(), accepted)
 		}
 		switch verdict {
@@ -373,24 +371,22 @@ func (o *Oracle) CheckBatch(req p4rt.WriteRequest, resp p4rt.WriteResponse, obse
 			// Either response is admissible.
 		}
 		// Replay accepted updates onto the expected state.
-		if accepted {
-			if e, err := p4rt.FromWire(o.info, &u.Entry); err == nil {
-				var applyErr error
-				switch u.Type {
-				case p4rt.Insert:
-					applyErr = expected.Insert(e)
-				case p4rt.Modify:
-					applyErr = expected.Modify(e)
-				case p4rt.Delete:
-					applyErr = expected.Delete(e)
-				}
-				if applyErr != nil {
-					violations = append(violations, Violation{
-						UpdateIndex: i,
-						Kind:        "inconsistent-acceptance",
-						Message:     fmt.Sprintf("switch reported OK but the update cannot apply: %v", applyErr),
-					})
-				}
+		if accepted && e != nil {
+			var applyErr error
+			switch u.Type {
+			case p4rt.Insert:
+				applyErr = expected.InsertKey(keys[i], e)
+			case p4rt.Modify:
+				applyErr = expected.Modify(e)
+			case p4rt.Delete:
+				applyErr = expected.Delete(e)
+			}
+			if applyErr != nil {
+				violations = append(violations, Violation{
+					UpdateIndex: i,
+					Kind:        "inconsistent-acceptance",
+					Message:     fmt.Sprintf("switch reported OK but the update cannot apply: %v", applyErr),
+				})
 			}
 		}
 	}

@@ -17,9 +17,9 @@ package constraints
 import (
 	"fmt"
 
+	"switchv/internal/p4/value"
 	"switchv/internal/sat"
 	"switchv/internal/smt"
-	"switchv/internal/p4/value"
 )
 
 // Satisfiable reports whether any assignment of the constraint's key

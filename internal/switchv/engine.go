@@ -39,6 +39,20 @@ func ParseEngine(s string) (EngineKind, error) {
 	}
 }
 
+// ParsePrecheck validates a -precheck flag value. The empty string
+// selects the default (on).
+func ParsePrecheck(s string) (PrecheckMode, error) {
+	switch s {
+	case "on", "":
+		return PrecheckOn, nil
+	case "warn":
+		return PrecheckWarn, nil
+	case "off":
+		return PrecheckOff, nil
+	}
+	return 0, fmt.Errorf("invalid -precheck %q (want on, warn, or off)", s)
+}
+
 // engineConstructions counts NewEngine calls process-wide. The
 // data-plane compare loop is asserted (by regression test) to construct
 // one engine per worker, not one per packet.

@@ -31,6 +31,29 @@ func TestParseEngine(t *testing.T) {
 	}
 }
 
+func TestParsePrecheck(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want PrecheckMode
+		err  string
+	}{
+		{"", PrecheckOn, ""},
+		{"on", PrecheckOn, ""},
+		{"warn", PrecheckWarn, ""},
+		{"off", PrecheckOff, ""},
+		{"bogus", 0, `invalid -precheck "bogus" (want on, warn, or off)`},
+	} {
+		got, err := ParsePrecheck(tc.in)
+		gotErr := ""
+		if err != nil {
+			gotErr = err.Error()
+		}
+		if got != tc.want || gotErr != tc.err {
+			t.Errorf("ParsePrecheck(%q) = %v, %q; want %v, %q", tc.in, got, gotErr, tc.want, tc.err)
+		}
+	}
+}
+
 // TestEngineConstructionsPerWorker is the regression test for the
 // per-packet-simulator bug: the data-plane compare phase must build one
 // engine per worker, not one per packet.

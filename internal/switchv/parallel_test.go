@@ -1,6 +1,7 @@
 package switchv
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -49,40 +50,71 @@ func TestShardBatchSplit(t *testing.T) {
 
 // TestPipelinedMatchesSequential: overlapping the switch side with the
 // oracle side must not change any campaign result — same verdicts, same
-// incidents, same final coverage counts.
+// incidents, same final coverage counts. Modes that feed judged results
+// back into generation (and Reconcile) must fall back to the inline
+// loop, so there the overlapped call returns the sequential report
+// field for field, Trajectory included.
 func TestPipelinedMatchesSequential(t *testing.T) {
-	opts := fuzzer.Options{Seed: 3, NumRequests: 30, UpdatesPerRequest: 15}
-
-	hSeq, _ := newHarness(t, "middleblock")
-	seq, err := hSeq.RunControlPlane(opts)
-	if err != nil {
-		t.Fatal(err)
+	info := p4info.New(models.MustLoad("middleblock"))
+	plain := func(t *testing.T) *Harness {
+		h, _ := newHarness(t, "middleblock")
+		return h
 	}
-	hPipe, _ := newHarness(t, "middleblock")
-	pipe, err := hPipe.RunControlPlanePipelined(opts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if seq.Batches != pipe.Batches || seq.Updates != pipe.Updates {
-		t.Errorf("batches/updates: sequential %d/%d, pipelined %d/%d",
-			seq.Batches, seq.Updates, pipe.Batches, pipe.Updates)
-	}
-	if seq.MustAccept != pipe.MustAccept || seq.MustReject != pipe.MustReject ||
-		seq.MayReject != pipe.MayReject {
-		t.Errorf("verdicts: sequential %d/%d/%d, pipelined %d/%d/%d",
-			seq.MustAccept, seq.MustReject, seq.MayReject,
-			pipe.MustAccept, pipe.MustReject, pipe.MayReject)
-	}
-	if !reflect.DeepEqual(seq.Incidents, pipe.Incidents) {
-		t.Errorf("incidents differ:\nsequential: %v\npipelined:  %v", seq.Incidents, pipe.Incidents)
-	}
-	if !reflect.DeepEqual(seq.Coverage.Counts, pipe.Coverage.Counts) {
-		t.Error("final coverage counts differ between sequential and pipelined runs")
-	}
-	if !reflect.DeepEqual(seq.PerMutation, pipe.PerMutation) {
-		t.Errorf("per-mutation stats differ:\nsequential: %v\npipelined:  %v",
-			seq.PerMutation, pipe.PerMutation)
+	for _, c := range []struct {
+		name     string
+		opts     func(*fuzzer.Options)
+		harness  func(*testing.T) *Harness
+		feedback bool
+	}{
+		{name: "plain", opts: func(*fuzzer.Options) {}, harness: plain},
+		{name: "plateau", opts: func(o *fuzzer.Options) { o.PlateauBatches = 2 }, harness: plain, feedback: true},
+		{name: "stop-after-incidents", opts: func(o *fuzzer.Options) { o.StopAfterIncidents = 3 },
+			harness: func(t *testing.T) *Harness {
+				h, _ := newHarness(t, "middleblock", switchsim.FaultAcceptInvalidReference)
+				return h
+			}, feedback: true},
+		{name: "coverage-guided", opts: func(o *fuzzer.Options) { o.CoverageGuided = true }, harness: plain, feedback: true},
+		{name: "reconcile", opts: func(*fuzzer.Options) {},
+			harness: func(t *testing.T) *Harness {
+				sw := &tornDevice{Switch: switchsim.New("middleblock"), tearAt: map[int]bool{4: true, 11: true}}
+				t.Cleanup(sw.Close)
+				h := New(info, sw, sw)
+				h.Reconcile = true
+				if err := h.PushPipeline(); err != nil {
+					t.Fatal(err)
+				}
+				return h
+			}, feedback: true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			opts := fuzzer.Options{Seed: 3, NumRequests: 30, UpdatesPerRequest: 15}
+			c.opts(&opts)
+			seq, err := c.harness(t).RunControlPlane(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pipe, err := c.harness(t).runControlPlane(opts, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !c.feedback {
+				if len(pipe.Trajectory) != 0 {
+					t.Errorf("overlapped run sampled %d trajectory points, want none", len(pipe.Trajectory))
+				}
+				seq.Trajectory = nil
+			}
+			want, err := seq.Canon().JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := pipe.Canon().JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("overlapped report differs from the sequential one:\nsequential: %s\noverlapped: %s", want, got)
+			}
+		})
 	}
 }
 

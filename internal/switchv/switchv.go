@@ -195,6 +195,42 @@ func (r *CanonicalControlPlaneReport) JSON() ([]byte, error) {
 // and mutated updates, each followed by a full read-back that the oracle
 // judges (§4.3, §4.4).
 func (h *Harness) RunControlPlane(opts fuzzer.Options) (*ControlPlaneReport, error) {
+	return h.runControlPlane(opts, false)
+}
+
+// writeAhead is how many batches the switch side of an overlapped
+// campaign may run ahead of the oracle side.
+const writeAhead = 4
+
+// cpBatch is one produced batch: the request, the switch's response and
+// its read-back, ready for the oracle.
+type cpBatch struct {
+	batch     int
+	req       p4rt.WriteRequest
+	meta      []fuzzer.GeneratedUpdate
+	resp      p4rt.WriteResponse
+	observed  p4rt.ReadResponse
+	readErr   error
+	covBefore int64
+}
+
+// runControlPlane is the one campaign loop. Each batch is produced
+// (generate, write, read back, reconcile a torn write, note what the
+// switch accepted) and then judged (oracle verdicts, incidents, the
+// Trajectory sample and the early stops).
+//
+// With overlap, a producer goroutine runs up to writeAhead batches
+// ahead of the judging caller, so the switch never waits for verdict
+// bookkeeping. Results are the inline loop's exactly — the producer
+// performs the same per-batch sequence, batches are judged in order,
+// and the oracle (whose state is adopted from each read-back) stays
+// single-threaded — except that Trajectory is not sampled: a
+// mid-pipeline coverage reading would depend on producer timing.
+// Overlap is dropped whenever judging feeds back into production:
+// plateau and incident-count stops, coverage-guided scheduling, and
+// Reconcile (torn-write resolution reads the oracle's pre-batch state,
+// which the producer would race ahead of).
+func (h *Harness) runControlPlane(opts fuzzer.Options, overlap bool) (*ControlPlaneReport, error) {
 	crep, err := h.precheckGate("p4-fuzzer")
 	if err != nil {
 		return nil, err
@@ -206,6 +242,8 @@ func (h *Harness) RunControlPlane(opts fuzzer.Options) (*ControlPlaneReport, err
 		}
 		opts.Coverage = coverage.NewMapExcluding(h.Info, dead)
 	}
+	overlap = overlap && opts.PlateauBatches <= 0 && opts.StopAfterIncidents <= 0 &&
+		!opts.CoverageGuided && !h.Reconcile
 	cov := opts.Coverage
 	f := fuzzer.New(h.Info, opts)
 	orc := oracle.New(h.Info)
@@ -217,30 +255,44 @@ func (h *Harness) RunControlPlane(opts fuzzer.Options) (*ControlPlaneReport, err
 	if n == 0 {
 		n = 1000
 	}
-	plateauRun := 0
-	for batch := 0; batch < n; batch++ {
-		covBefore := cov.Covered()
-		req, meta, err := f.NextBatch()
-		if err != nil {
-			return rep, err
+
+	produce := func(batch int) (cpBatch, error) {
+		b := cpBatch{batch: batch, covBefore: cov.Covered()}
+		var err error
+		if b.req, b.meta, err = f.NextBatch(); err != nil {
+			return b, err
 		}
-		rep.Batches++
-		rep.Updates += len(req.Updates)
-		resp := h.Dev.Write(req)
-		observed, err := h.Dev.Read(p4rt.ReadRequest{})
-		if err != nil {
-			rep.Incidents = append(rep.Incidents, Incident{
-				Tool: "p4-fuzzer", Kind: "read-failed",
-				Detail: fmt.Sprintf("reading back after batch %d: %v", batch, err),
-			})
-			continue
+		b.resp = h.Dev.Write(b.req)
+		if b.observed, b.readErr = h.Dev.Read(p4rt.ReadRequest{}); b.readErr != nil {
+			return b, nil
 		}
-		if h.Reconcile && isTransportFailure(resp) {
+		if h.Reconcile && isTransportFailure(b.resp) {
 			// Torn write: the ACK died in transit, so resolve what actually
 			// landed from the read-back before judging the batch.
-			resp = reconcileWriteResponse(h.Info, orc.State(), observed, req)
+			b.resp = reconcileWriteResponse(h.Info, orc.State(), b.observed, b.req)
 		}
-		verdicts, violations := orc.CheckBatch(req, resp, observed)
+		// Keep the fuzzer's reference pool in sync with what the switch
+		// accepted before the next NextBatch.
+		for i, st := range b.resp.Statuses {
+			if i < len(b.req.Updates) && st.Code == p4rt.OK {
+				f.NoteAccepted(b.req.Updates[i])
+			}
+		}
+		return b, nil
+	}
+
+	plateauRun := 0
+	judge := func(b *cpBatch) (stop bool) {
+		rep.Batches++
+		rep.Updates += len(b.req.Updates)
+		if b.readErr != nil {
+			rep.Incidents = append(rep.Incidents, Incident{
+				Tool: "p4-fuzzer", Kind: "read-failed",
+				Detail: fmt.Sprintf("reading back after batch %d: %v", b.batch, b.readErr),
+			})
+			return false
+		}
+		verdicts, violations := orc.CheckBatch(b.req, b.resp, b.observed)
 		for i, v := range verdicts {
 			switch v {
 			case oracle.MustAccept:
@@ -252,15 +304,15 @@ func (h *Harness) RunControlPlane(opts fuzzer.Options) (*ControlPlaneReport, err
 			}
 			// Per-mutation-class verdict-outcome accounting: which oracle
 			// verdict and switch decision each mutation class has reached.
-			if i < len(meta) && i < len(resp.Statuses) {
-				cov.NoteMutationOutcome(meta[i].Mutation, v.String(),
-					resp.Statuses[i].Code == p4rt.OK)
+			if i < len(b.meta) && i < len(b.resp.Statuses) {
+				cov.NoteMutationOutcome(b.meta[i].Mutation, v.String(),
+					b.resp.Statuses[i].Code == p4rt.OK)
 			}
 		}
 		for _, viol := range violations {
 			detail := viol.String()
-			if viol.UpdateIndex >= 0 && viol.UpdateIndex < len(meta) {
-				m := meta[viol.UpdateIndex]
+			if viol.UpdateIndex >= 0 && viol.UpdateIndex < len(b.meta) {
+				m := b.meta[viol.UpdateIndex]
 				detail += fmt.Sprintf(" (update: %s %v", m.Update.Type, m.Update.Entry.TableID)
 				if m.Mutation != "" {
 					detail += ", mutation: " + m.Mutation
@@ -269,37 +321,66 @@ func (h *Harness) RunControlPlane(opts fuzzer.Options) (*ControlPlaneReport, err
 			}
 			rep.Incidents = append(rep.Incidents, Incident{Tool: "p4-fuzzer", Kind: viol.Kind, Detail: detail})
 		}
-		// Keep the fuzzer's reference pool in sync with what the switch
-		// accepted.
-		for i, st := range resp.Statuses {
-			if i < len(req.Updates) && st.Code == p4rt.OK {
-				f.NoteAccepted(req.Updates[i])
-			}
+		if overlap {
+			// A coverage sample here would depend on producer timing.
+			return false
 		}
 		rep.Trajectory = append(rep.Trajectory, BatchCoverage{
 			Points: cov.Covered(),
 			Tables: cov.TablesAccepted(),
 		})
 		if opts.StopAfterIncidents > 0 && len(rep.Incidents) >= opts.StopAfterIncidents {
-			break
+			return true
 		}
 		// Coverage-plateau early stop: a batch that exercises no new point
 		// extends the plateau; PlateauBatches of them in a row end the
 		// campaign (nothing left that this schedule is going to reach).
-		if cov.Covered() == covBefore {
+		if cov.Covered() == b.covBefore {
 			plateauRun++
 			if opts.PlateauBatches > 0 && plateauRun >= opts.PlateauBatches {
 				rep.PlateauStopped = true
-				break
+				return true
 			}
 		} else {
 			plateauRun = 0
+		}
+		return false
+	}
+
+	var genErr error
+	if overlap {
+		// The producer holds one batch while writeAhead-1 wait here.
+		work := make(chan cpBatch, writeAhead-1)
+		go func() {
+			defer close(work)
+			for batch := 0; batch < n; batch++ {
+				b, err := produce(batch)
+				if err != nil {
+					genErr = err
+					return
+				}
+				work <- b
+			}
+		}()
+		for b := range work {
+			judge(&b)
+		}
+	} else {
+		for batch := 0; batch < n; batch++ {
+			b, err := produce(batch)
+			if err != nil {
+				genErr = err
+				break
+			}
+			if judge(&b) {
+				break
+			}
 		}
 	}
 	rep.Elapsed = time.Since(start)
 	rep.PerMutation = f.PerMutation
 	rep.Coverage = cov.Snapshot()
-	return rep, nil
+	return rep, genErr
 }
 
 // DataPlaneReport summarizes a symbolic data-plane campaign (§5).

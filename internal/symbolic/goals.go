@@ -57,9 +57,20 @@ type TestPacket struct {
 }
 
 // SolveGoal asks the solver for a packet satisfying the goal. It returns
-// (nil, false, nil) when the goal is unreachable (UNSAT).
+// (nil, false, nil) when the goal is unreachable (UNSAT). An executor
+// with lazy assertions checks only the goal's cone-of-influence closure
+// (smt.CheckSliced): verdicts are identical to a full check by
+// construction, but the packet may differ, since the model is completed
+// from the canonical background outside the slice. An eager executor
+// checks the full formula.
 func (ex *Executor) SolveGoal(g Goal) (*TestPacket, bool, error) {
-	switch ex.solver.CheckAssuming(g.Cond) {
+	var res sat.Result
+	if ex.lazyAsserts {
+		res = ex.solver.CheckSliced(ex.coneSeed(g.Key), g.Cond)
+	} else {
+		res = ex.solver.CheckAssuming(g.Cond)
+	}
+	switch res {
 	case sat.Unsat:
 		return nil, false, nil
 	case sat.Sat:
@@ -96,26 +107,6 @@ func (ex *Executor) coneSeed(goalKey string) []*smt.Term {
 		seed[i] = ex.inputs[id]
 	}
 	return seed
-}
-
-// SolveGoalSliced is SolveGoal through the slice-restricted solver
-// path: only the assertions inside the goal's cone-of-influence closure
-// are activated (and CNF'd). Verdicts are identical to SolveGoal by
-// construction; only the synthesized packet may differ, since the model
-// is completed from the canonical background outside the slice.
-func (ex *Executor) SolveGoalSliced(g Goal) (*TestPacket, bool, error) {
-	switch ex.solver.CheckSliced(ex.coneSeed(g.Key), g.Cond) {
-	case sat.Unsat:
-		return nil, false, nil
-	case sat.Sat:
-	default:
-		return nil, false, fmt.Errorf("symbolic: solver returned unknown for %s", g.Key)
-	}
-	pkt, err := ex.extractPacket(g.Key)
-	if err != nil {
-		return nil, false, err
-	}
-	return pkt, true, nil
 }
 
 // extractPacket reads the input variables' model values and deparses them

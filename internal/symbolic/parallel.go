@@ -83,7 +83,8 @@ type GenOptions struct {
 	// differential testing.
 	DisableWitness bool
 	// DisableSlicing turns off cone-of-influence slice restriction on
-	// per-goal checks (smt.CheckSliced), forcing full-formula checks.
+	// per-goal checks (smt.CheckSliced): the executors assert eagerly, as
+	// New's do, so every check covers the full formula.
 	// Verdicts are identical either way (slicing is sound by closure +
 	// background completion); synthesized packets and pruning cascades
 	// may differ, so only verdicts are comparable across this flag.
@@ -106,7 +107,7 @@ type Generator struct {
 // executor) and enumerates the goal universe: the mode's structural
 // goals followed by the enriched goals when requested.
 func NewGenerator(prog *ir.Program, store *pdpi.Store, opts Options, gopts GenOptions) (*Generator, error) {
-	ex0, err := newExecutor(prog, store, opts, true)
+	ex0, err := newExecutor(prog, store, opts, !gopts.DisableSlicing)
 	if err != nil {
 		return nil, err
 	}
@@ -149,8 +150,7 @@ type shardState struct {
 	conds  []*smt.Term // universe conditions in this executor's own DAG
 	queue  []int       // goal indices this shard owns, in canonical order
 	pos    int
-	checks int  // NumChecks at construction
-	sliced bool // use the slice-restricted solver path
+	checks int // NumChecks at construction
 }
 
 // roundResult is one shard's contribution to a round: the verdict on
@@ -255,7 +255,7 @@ func (g *Generator) Run() ([]TestPacket, Report, error) {
 				ex := g.ex0
 				if s != 0 {
 					var err error
-					if ex, err = newExecutor(g.prog, g.store, g.opts, true); err != nil {
+					if ex, err = newExecutor(g.prog, g.store, g.opts, !g.gopts.DisableSlicing); err != nil {
 						errs[s] = fmt.Errorf("symbolic: shard %d executor: %w", s, err)
 						return
 					}
@@ -267,7 +267,6 @@ func (g *Generator) Run() ([]TestPacket, Report, error) {
 					conds:  condsFor(ex, g.goals),
 					queue:  missing[lo:hi],
 					checks: ex.solver.NumChecks,
-					sliced: !g.gopts.DisableSlicing,
 				}
 			}(s)
 		}
@@ -406,11 +405,7 @@ func (g *Generator) Run() ([]TestPacket, Report, error) {
 // the barrier.
 func solveRound(st *shardState, goal int, universe []Goal, undecided []int) *roundResult {
 	r := &roundResult{shard: -1, goal: goal}
-	solve := st.ex.SolveGoal
-	if st.sliced {
-		solve = st.ex.SolveGoalSliced
-	}
-	pkt, ok, err := solve(Goal{Key: universe[goal].Key, Cond: st.conds[goal]})
+	pkt, ok, err := st.ex.SolveGoal(Goal{Key: universe[goal].Key, Cond: st.conds[goal]})
 	if err != nil {
 		r.err = err
 		return r

@@ -65,9 +65,11 @@ type Executor struct {
 
 	// lazyAsserts routes pipeline assertions through the solver's
 	// sliceable lazy path (smt.AssertLazy) instead of eager unit
-	// clauses. The parallel generator enables it so per-goal checks can
-	// be slice-restricted; the sequential baseline keeps eager
-	// assertions, whose CNF is bit-identical to the historical encoding.
+	// clauses, and SolveGoal then checks with smt.CheckSliced. The
+	// parallel generator enables it so per-goal checks can be
+	// slice-restricted (unless GenOptions.DisableSlicing); the sequential
+	// baseline keeps eager assertions, whose CNF is bit-identical to the
+	// historical encoding.
 	lazyAsserts bool
 
 	// keyState snapshots the symbolic key expressions of each table at

@@ -732,14 +732,10 @@ func (g *Generator) witnessPrepass(decided []bool, outcomes []goalOutcome) error
 			continue
 		}
 		// Fallback ladder bottom: the solver (slice-restricted unless
-		// disabled). Its model seeds future witnesses, so each genuinely
+		// disabled, see SolveGoal). Its model seeds future witnesses, so each genuinely
 		// new pipeline context costs one check and then amortizes across
 		// the rest of its table.
-		solve := g.ex0.SolveGoal
-		if !g.gopts.DisableSlicing {
-			solve = g.ex0.SolveGoalSliced
-		}
-		pkt, sat, err := solve(goal)
+		pkt, sat, err := g.ex0.SolveGoal(goal)
 		if err != nil {
 			return err
 		}

@@ -243,7 +243,7 @@ func ManyRIFsFixture(prog *ir.Program, store *pdpi.Store) {
 			Table:   tbl(prog, "router_interface_table"),
 			Matches: []pdpi.Match{{Key: "router_interface_id", Kind: ir.MatchExact, Value: value.New(id, 10)}},
 			Action: &pdpi.ActionInvocation{Action: act(prog, "set_port_and_src_mac"),
-				Args: []value.V{value.New(id + 20, 16), value.New(0x0200000000aa, 48)}},
+				Args: []value.V{value.New(id+20, 16), value.New(0x0200000000aa, 48)}},
 		})
 	}
 }
